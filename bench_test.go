@@ -718,6 +718,61 @@ func BenchmarkStrategyRemove(b *testing.B) {
 	})
 }
 
+// BenchmarkCovOptSelect measures one coverage-optimized Select followed
+// by re-adding the picked node, on a 4096-node frontier whose yields are
+// integers halved down lineages as the engine produces them. The
+// fenwick arm is the shipping sum-tree sampler; the linear arm
+// replicates the two full weight passes per pick it replaced. Gated by
+// ci/bench_baseline.json.
+func BenchmarkCovOptSelect(b *testing.B) {
+	const frontier = 4096
+	nodes := make([]*tree.Node, frontier)
+	for i := range nodes {
+		nodes[i] = &tree.Node{Depth: i, CovYield: float64(i%7) / float64(uint(1)<<(i%5))}
+	}
+	b.Run("fenwick", func(b *testing.B) {
+		c := engine.NewCoverageOptimized(1)
+		for _, n := range nodes {
+			c.Add(n)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Add(c.Select())
+		}
+	})
+	b.Run("linear", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		list := append([]*tree.Node(nil), nodes...)
+		pos := make(map[*tree.Node]int, frontier)
+		for i, n := range list {
+			pos[n] = i
+		}
+		weight := func(n *tree.Node) float64 { return 1 + n.CovYield }
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			total := 0.0
+			for _, n := range list {
+				total += weight(n)
+			}
+			pick := rng.Float64() * total
+			at := len(list) - 1
+			for j, n := range list {
+				if pick -= weight(n); pick <= 0 {
+					at = j
+					break
+				}
+			}
+			n, last := list[at], len(list)-1
+			list[at] = list[last]
+			pos[list[at]] = at
+			list = list[:last]
+			delete(pos, n)
+			pos[n] = len(list)
+			list = append(list, n)
+		}
+	})
+}
+
 // distBenchProg builds the synthetic program BenchmarkDistRecompute
 // analyzes: main's basic-block chain calls nLeaves private leaf
 // functions, each a straight chain of depth blocks with one source

@@ -12,6 +12,7 @@ import (
 
 	cfganalysis "cloud9/internal/cfg"
 	"cloud9/internal/cluster"
+	"cloud9/internal/coverage"
 	"cloud9/internal/engine"
 	"cloud9/internal/interp"
 	"cloud9/internal/posix"
@@ -211,14 +212,21 @@ func TestCluster(name, source string, opts ClusterOptions) (*Report, error) {
 		Instructions: res.Final.UsefulSteps,
 		Exhausted:    res.Exhausted,
 	}
-	var coverable int
+	// Each worker's vector holds the lines it covered plus whatever
+	// global overlay reached it, so any one of them can undercount; the
+	// union of all of them is the cluster's coverage.
+	var cov *coverage.BitVec
 	for _, w := range res.Workers {
 		rep.Tests = append(rep.Tests, w.Exp.Tests...)
-		if c := w.Exp.Cov.Count(); c > rep.CoveredLines {
-			rep.CoveredLines = c // upper bound; LB holds the OR-merged view
+		if cov == nil {
+			cov = w.Exp.Cov.Clone()
+		} else {
+			cov.Or(w.Exp.Cov)
 		}
-		coverable = w.Exp.In.Prog.CoverableLines()
+		rep.CoverableLines = w.Exp.In.Prog.CoverableLines()
 	}
-	rep.CoverableLines = coverable
+	if cov != nil {
+		rep.CoveredLines = cov.Count()
+	}
 	return rep, nil
 }

@@ -92,6 +92,59 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 	}
 }
 
+// spread reaches a different source line on each of its 27 paths, so
+// workers that split the paths cover different lines.
+const spread = `
+int classify(char c) {
+	if (c < 'a')
+		return 1;
+	if (c > 'z')
+		return 2;
+	return 3;
+}
+int main() {
+	char b[3];
+	cloud9_make_symbolic(b, 3, "in");
+	int x = classify(b[0]);
+	int y = classify(b[1]);
+	int z = classify(b[2]);
+	if (x == 1 && y == 1 && z == 1)
+		return 10;
+	if (x == 2 && y == 2)
+		return 11;
+	if (x == 3 && z == 2)
+		return 12;
+	if (y == 3 && z == 3)
+		return 13;
+	if (x == 2 && z == 1)
+		return 14;
+	return 15;
+}`
+
+// TestClusterCoverageIsUnion: cluster coverage is the OR of every
+// worker's vector, so it equals single-node coverage of the same
+// program — not the best single worker's count.
+func TestClusterCoverageIsUnion(t *testing.T) {
+	single, err := Test("spread.c", spread, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 3, 4} {
+		clustered, err := TestCluster("spread.c", spread, ClusterOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !clustered.Exhausted || clustered.Paths != single.Paths {
+			t.Fatalf("%d workers: exhausted=%v paths=%d, want %d", workers,
+				clustered.Exhausted, clustered.Paths, single.Paths)
+		}
+		if clustered.CoveredLines != single.CoveredLines {
+			t.Fatalf("%d workers: covered %d lines, single node %d", workers,
+				clustered.CoveredLines, single.CoveredLines)
+		}
+	}
+}
+
 func TestHostFSVisible(t *testing.T) {
 	rep, err := Test("fs.c", `
 		int main() {

@@ -188,10 +188,8 @@ func (r *DistanceOptimized) featWeight(n *tree.Node) float64 {
 	score := w.MD2U * md
 	score += w.Depth / (1 + float64(n.Depth)/8)
 	score += w.Faults / float64(1+faultsOf(n))
-	if n.Meta != nil {
-		if y := n.Meta["covYield"]; y > 0 {
-			score += w.Yield * y / (1 + y)
-		}
+	if y := n.CovYield; y > 0 {
+		score += w.Yield * y / (1 + y)
 	}
 	if score < minFeatWeight {
 		score = minFeatWeight

@@ -288,7 +288,7 @@ func TestHangDetectionProducesTest(t *testing.T) {
 func TestInterleavedForwardsGlobalCoverage(t *testing.T) {
 	cov := NewCoverageOptimized(1)
 	il := NewInterleaved(NewDFS(), cov)
-	n := &tree.Node{Meta: map[string]float64{"covYield": 8}}
+	n := &tree.Node{CovYield: 8}
 	cov.Add(n)
 	var s Strategy = il
 	g, ok := s.(GlobalCoverageAware)
@@ -296,11 +296,11 @@ func TestInterleavedForwardsGlobalCoverage(t *testing.T) {
 		t.Fatal("Interleaved must implement GlobalCoverageAware")
 	}
 	g.NotifyGlobalCoverage(3)
-	if got := n.Meta["covYield"]; got != 4 {
+	if got := n.CovYield; got != 4 {
 		t.Fatalf("covYield = %v, want 4 (halved by global decay)", got)
 	}
 	g.NotifyGlobalCoverage(0)
-	if got := n.Meta["covYield"]; got != 4 {
+	if got := n.CovYield; got != 4 {
 		t.Fatalf("covYield = %v, want 4 (zero delta must not decay)", got)
 	}
 }
@@ -491,7 +491,7 @@ func TestDistOptWeightedFeatures(t *testing.T) {
 		t.Errorf("depth feature: shallow picked %d/50, want ≥40", got)
 	}
 	clean := &tree.Node{}
-	faulty := &tree.Node{Meta: map[string]float64{"faults": 7}}
+	faulty := &tree.Node{Faults: 7}
 	if got := race(DistWeights{Faults: 1}, clean, faulty); got < 40 {
 		t.Errorf("faults feature: clean picked %d/50, want ≥40", got)
 	}

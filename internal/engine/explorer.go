@@ -277,14 +277,11 @@ func (e *Explorer) exploreNode(n *tree.Node) error {
 		return err
 	}
 	if e.newLines > 0 {
-		// Credit the node's shared coverage-yield meta exactly once,
-		// here — not inside each strategy — so composed strategies (an
+		// Credit the node's shared coverage yield exactly once, here —
+		// not inside each strategy — so composed strategies (an
 		// interleave of two coverage-aware searchers) can't double-count
-		// the same lines through the shared Meta map.
-		if n.Meta == nil {
-			n.Meta = map[string]float64{}
-		}
-		n.Meta["covYield"] += float64(e.newLines)
+		// the same lines through the shared field.
+		n.CovYield += float64(e.newLines)
 	}
 	e.Strat.NotifyCoverage(n, e.newLines)
 	if kids == nil {

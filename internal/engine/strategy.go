@@ -229,7 +229,8 @@ func (r *RandomPath) Add(*tree.Node) {}
 // Remove implements Strategy.
 func (r *RandomPath) Remove(*tree.Node) {}
 
-// Select implements Strategy.
+// Select implements Strategy. Allocation-free: it counts the children
+// with candidates below them, draws k, then walks to the k-th one.
 func (r *RandomPath) Select() *tree.Node {
 	n := r.t.Root
 	if n.NumCandidatesBelow() == 0 {
@@ -241,16 +242,25 @@ func (r *RandomPath) Select() *tree.Node {
 		}
 		// Choose among children with candidates, weighted equally
 		// (KLEE's random-path gives each subtree equal probability).
-		var live []*tree.Node
+		live := 0
 		for _, ch := range n.Children {
 			if ch != nil && ch.NumCandidatesBelow() > 0 {
-				live = append(live, ch)
+				live++
 			}
 		}
-		if len(live) == 0 {
+		if live == 0 {
 			return nil
 		}
-		n = live[r.rng.Intn(len(live))]
+		k := r.rng.Intn(live)
+		for _, ch := range n.Children {
+			if ch != nil && ch.NumCandidatesBelow() > 0 {
+				if k == 0 {
+					n = ch
+					break
+				}
+				k--
+			}
+		}
 	}
 }
 
@@ -265,9 +275,16 @@ func (r *RandomPath) NotifyCoverage(*tree.Node, int) {}
 // without static CFG distances (documented substitution: the paper
 // weighs states by estimated distance to an uncovered line; we weigh by
 // observed recent coverage yield, which drives the same feedback loop).
+//
+// Sampling is O(log n): each frontier slot's weight is cached in a sum
+// tree when the node is added, and a pick is one root-to-leaf descent.
 type CoverageOptimized struct {
 	nodes []*tree.Node
 	pos   map[*tree.Node]int
+	w     sumTree // w leaf i = weightOf(nodes[i])
+	// stale marks the cached weights out of date after a global
+	// coverage decay; the next Select re-reads them.
+	stale bool
 	rng   *rand.Rand
 }
 
@@ -279,12 +296,7 @@ func NewCoverageOptimized(seed int64) *CoverageOptimized {
 // Name implements Strategy.
 func (c *CoverageOptimized) Name() string { return "cov-opt" }
 
-func weightOf(n *tree.Node) float64 {
-	if n.Meta == nil {
-		return 1
-	}
-	return 1 + n.Meta["covYield"]
-}
+func weightOf(n *tree.Node) float64 { return 1 + n.CovYield }
 
 // Add implements Strategy.
 func (c *CoverageOptimized) Add(n *tree.Node) {
@@ -292,17 +304,15 @@ func (c *CoverageOptimized) Add(n *tree.Node) {
 	// but only when the node has none yet: re-Adds (a SetStrategy
 	// re-seed) must not overwrite yield that global decay has already
 	// discounted.
-	if (n.Meta == nil || n.Meta["covYield"] == 0) && n.Parent != nil && n.Parent.Meta != nil {
-		if n.Meta == nil {
-			n.Meta = map[string]float64{}
-		}
-		n.Meta["covYield"] = n.Parent.Meta["covYield"] / 2
+	if n.CovYield == 0 && n.Parent != nil {
+		n.CovYield = n.Parent.CovYield / 2
 	}
 	c.pos[n] = len(c.nodes)
 	c.nodes = append(c.nodes, n)
+	c.w.set(len(c.nodes)-1, weightOf(n))
 }
 
-// Remove implements Strategy.
+// Remove implements Strategy. The last slot moves into the vacated one.
 func (c *CoverageOptimized) Remove(n *tree.Node) {
 	i, ok := c.pos[n]
 	if !ok {
@@ -311,29 +321,29 @@ func (c *CoverageOptimized) Remove(n *tree.Node) {
 	last := len(c.nodes) - 1
 	c.nodes[i] = c.nodes[last]
 	c.pos[c.nodes[i]] = i
+	c.nodes[last] = nil
 	c.nodes = c.nodes[:last]
 	delete(c.pos, n)
+	if i != last {
+		c.w.set(i, c.w.get(last))
+	}
+	c.w.set(last, 0)
 }
 
-// Select implements Strategy.
+// Select implements Strategy: it draws pick = U[0,1)·total and takes the
+// first slot whose weight prefix sum reaches pick (the last slot if
+// rounding leaves pick above every prefix).
 func (c *CoverageOptimized) Select() *tree.Node {
+	if c.stale {
+		c.w.rebuild(len(c.nodes), func(i int) float64 { return weightOf(c.nodes[i]) })
+		c.stale = false
+	}
 	for len(c.nodes) > 0 {
-		total := 0.0
-		for _, n := range c.nodes {
-			total += weightOf(n)
+		i := c.w.search(c.rng.Float64() * c.w.total())
+		if i >= len(c.nodes) {
+			i = len(c.nodes) - 1
 		}
-		pick := c.rng.Float64() * total
-		var chosen *tree.Node
-		for _, n := range c.nodes {
-			pick -= weightOf(n)
-			if pick <= 0 {
-				chosen = n
-				break
-			}
-		}
-		if chosen == nil {
-			chosen = c.nodes[len(c.nodes)-1]
-		}
+		chosen := c.nodes[i]
 		c.Remove(chosen)
 		if chosen.IsCandidate() {
 			return chosen
@@ -342,7 +352,7 @@ func (c *CoverageOptimized) Select() *tree.Node {
 	return nil
 }
 
-// NotifyCoverage implements Strategy. The covYield meta this strategy
+// NotifyCoverage implements Strategy. The CovYield this strategy
 // weighs by is credited once by the explorer (see exploreNode), not
 // here — updating it per-strategy would double-count under interleave.
 func (c *CoverageOptimized) NotifyCoverage(*tree.Node, int) {}
@@ -350,16 +360,96 @@ func (c *CoverageOptimized) NotifyCoverage(*tree.Node, int) {}
 // NotifyGlobalCoverage implements GlobalCoverageAware: when the rest of
 // the cluster covers new lines, locally accumulated yield is partly
 // stale (those lineages may be chasing lines already covered
-// elsewhere), so every tracked weight decays by half.
+// elsewhere), so every tracked weight decays by half. The sum tree is
+// rebuilt from the nodes at the next Select, so every decay that lands
+// on a shared node before then (another coverage-aware strategy's
+// included) is seen.
 func (c *CoverageOptimized) NotifyGlobalCoverage(newLines int) {
 	if newLines == 0 {
 		return
 	}
 	for _, n := range c.nodes {
-		if n.Meta != nil && n.Meta["covYield"] != 0 {
-			n.Meta["covYield"] /= 2
+		n.CovYield /= 2
+	}
+	c.stale = true
+}
+
+// sumTree holds per-slot weights in the leaves of a complete binary
+// tree whose inner nodes store the sum of their two children, so the
+// total is the root and a prefix search is one descent. Inner sums are
+// recomputed from their children, never adjusted by deltas, so every
+// sum depends only on the current leaves and not on update history.
+type sumTree struct {
+	size int       // leaf capacity, a power of two (0 when empty)
+	sum  []float64 // heap layout: sum[1] is the root, leaves at [size, 2size)
+}
+
+func (t *sumTree) get(i int) float64 { return t.sum[t.size+i] }
+
+func (t *sumTree) total() float64 {
+	if t.size == 0 {
+		return 0
+	}
+	return t.sum[1]
+}
+
+// set stores leaf i's weight and refreshes its ancestors, doubling the
+// capacity first when i does not fit.
+func (t *sumTree) set(i int, w float64) {
+	if i >= t.size {
+		t.grow(i + 1)
+	}
+	j := t.size + i
+	t.sum[j] = w
+	for j >>= 1; j > 0; j >>= 1 {
+		t.sum[j] = t.sum[2*j] + t.sum[2*j+1]
+	}
+}
+
+func (t *sumTree) grow(n int) {
+	size := max(1, 2*t.size)
+	for size < n {
+		size *= 2
+	}
+	sum := make([]float64, 2*size)
+	copy(sum[size:], t.sum[t.size:])
+	t.size, t.sum = size, sum
+	t.refresh()
+}
+
+// rebuild reloads leaves [0, n) from w, zeroes the rest, and recomputes
+// every inner sum in O(capacity).
+func (t *sumTree) rebuild(n int, w func(i int) float64) {
+	for i := 0; i < t.size; i++ {
+		v := 0.0
+		if i < n {
+			v = w(i)
+		}
+		t.sum[t.size+i] = v
+	}
+	t.refresh()
+}
+
+func (t *sumTree) refresh() {
+	for j := t.size - 1; j > 0; j-- {
+		t.sum[j] = t.sum[2*j] + t.sum[2*j+1]
+	}
+}
+
+// search returns the first leaf whose prefix sum is at least pick. Above
+// the total it returns the last leaf of the capacity, which callers
+// clamp to their last slot.
+func (t *sumTree) search(pick float64) int {
+	j := 1
+	for j < t.size {
+		if l := t.sum[2*j]; l < pick {
+			pick -= l
+			j = 2*j + 1
+		} else {
+			j = 2 * j
 		}
 	}
+	return j - t.size
 }
 
 // ---- Interleaved ----
@@ -449,19 +539,13 @@ func faultsOf(n *tree.Node) int {
 	if n.State != nil {
 		return n.State.FaultsTaken
 	}
-	if n.Meta != nil {
-		return int(n.Meta["faults"])
-	}
-	return 0
+	return n.Faults
 }
 
 // Add implements Strategy.
 func (f *FewestFaults) Add(n *tree.Node) {
 	k := faultsOf(n)
-	if n.Meta == nil {
-		n.Meta = map[string]float64{}
-	}
-	n.Meta["faults"] = float64(k)
+	n.Faults = k
 	f.buckets[k] = append(f.buckets[k], n)
 	if len(f.buckets) == 1 || k < f.min {
 		f.min = k

@@ -76,8 +76,9 @@ func (in *Interp) InitialState(entry string) (*state.S, error) {
 
 // Advance runs s until it forks or terminates.
 //
-// Returns (children, nil) on a fork: s is dead (released) and the
-// children (each with its path extended by one choice) replace it.
+// Returns (children, nil) on a fork: s is consumed (the last child is s
+// itself, renumbered) and the children, each with its path extended by
+// one choice, replace it.
 // Returns (nil, nil) when s terminated; inspect s.Term.
 // An error means the engine itself failed (solver budget, bad IR).
 func (in *Interp) Advance(s *state.S) ([]*state.S, error) {
@@ -148,20 +149,27 @@ func (in *Interp) reschedule(s *state.S) ([]*state.S, error) {
 	return nil, nil
 }
 
-// forkN clones s into n children; init fixes up each child with its
-// choice index. s is released.
+// forkN splits s into n children; init fixes up each child with its
+// choice index. Children 0..n-2 are clones; the last child is s itself,
+// renumbered, so a binary branch copies the state once instead of
+// twice. IDs are issued in child order. The caller must not touch s
+// afterwards except as children[n-1].
 func (in *Interp) forkN(s *state.S, n int, init func(child *state.S, i int)) []*state.S {
 	in.Stats.Forks++
 	children := make([]*state.S, n)
 	for i := 0; i < n; i++ {
-		c := s.Fork(in.NewStateID())
+		var c *state.S
+		if i < n-1 {
+			c = s.Fork(in.NewStateID())
+		} else {
+			c = s.Reuse(in.NewStateID())
+		}
 		c.Forks++
 		c.Path = state.AppendChoice(c.Path, uint8(i))
 		c.HasDecision = false
 		init(c, i)
 		children[i] = c
 	}
-	s.Release()
 	return children
 }
 

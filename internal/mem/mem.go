@@ -58,6 +58,10 @@ func (os *ObjectState) Ref() *ObjectState {
 // Unref decrements the CoW reference count.
 func (os *ObjectState) Unref() { os.refs-- }
 
+// Refs returns the CoW reference count: the number of address spaces
+// sharing these contents.
+func (os *ObjectState) Refs() int { return os.refs }
+
 // copyForWrite returns a privately owned copy when shared.
 func (os *ObjectState) copyForWrite() *ObjectState {
 	if os.refs == 1 {

@@ -122,14 +122,11 @@ func (faults) ClassOf(n *tree.Node) uint64 {
 	if n.State != nil {
 		return uint64(n.State.FaultsTaken)
 	}
-	if n.Meta != nil {
-		return uint64(n.Meta["faults"])
-	}
-	return 0
+	return uint64(n.Faults)
 }
 
 // yield buckets nodes by the log2 band of their inherited coverage
-// yield (the covYield meta the engine's coverage feedback maintains):
+// yield (the node CovYield the engine's coverage feedback maintains):
 // recently productive lineages land in high bands, exhausted ones in
 // band 0, and uniform class selection keeps probing both.
 type yield struct{}
@@ -137,10 +134,7 @@ type yield struct{}
 func (yield) Name() string { return "yield" }
 
 func (yield) ClassOf(n *tree.Node) uint64 {
-	if n.Meta == nil {
-		return 0
-	}
-	y := n.Meta["covYield"]
+	y := n.CovYield
 	if y < 1 {
 		return 0
 	}

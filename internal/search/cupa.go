@@ -110,12 +110,8 @@ func (c *CUPA) Add(n *tree.Node) {
 	// Only when the node has no yield yet: a SetStrategy re-seed re-Adds
 	// existing candidates, and overwriting would resurrect yield that
 	// global-coverage decay already discounted.
-	if (n.Meta == nil || n.Meta["covYield"] == 0) &&
-		n.Parent != nil && n.Parent.Meta != nil && n.Parent.Meta["covYield"] != 0 {
-		if n.Meta == nil {
-			n.Meta = map[string]float64{}
-		}
-		n.Meta["covYield"] = n.Parent.Meta["covYield"] / 2
+	if n.CovYield == 0 && n.Parent != nil {
+		n.CovYield = n.Parent.CovYield / 2
 	}
 	k := c.cls.ClassOf(n)
 	cl := c.classes[k]
@@ -240,7 +236,7 @@ func (c *CUPA) Select() *tree.Node {
 	return nil
 }
 
-// NotifyCoverage implements engine.Strategy. The covYield meta the
+// NotifyCoverage implements engine.Strategy. The node CovYield the
 // yield classifier and cov-opt inners read is credited once by the
 // explorer; crediting it here too would double-count whenever two
 // coverage-aware strategies share the node (interleave siblings).

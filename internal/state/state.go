@@ -307,6 +307,16 @@ func (s *S) Fork(newID uint64) *S {
 	return dup
 }
 
+// Reuse turns s itself into the last child of a fork, the cheap
+// alternative to s.Fork(newID) followed by s.Release(): it takes the new
+// ID and resets what Fork does not carry over (the termination verdict),
+// keeping every register, memory reference and counter in place.
+func (s *S) Reuse(newID uint64) *S {
+	s.ID = newID
+	s.Term, s.TermMsg = TermNone, ""
+	return s
+}
+
 // AuxCloner lets Aux values define deep-copy behavior on fork.
 type AuxCloner interface{ CloneAux() interface{} }
 

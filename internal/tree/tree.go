@@ -51,8 +51,15 @@ type Node struct {
 	// maintained incrementally for the random-path strategy.
 	nCandidates int
 
-	// Meta is scratch space for strategies (e.g. heap indices, weights).
-	Meta map[string]float64
+	// CovYield is the lineage's coverage yield: the explorer credits the
+	// lines a node's exploration newly covered, children inherit half
+	// their parent's yield when a coverage-aware strategy adds them, and
+	// cluster-wide coverage growth halves it (cov-opt's sampling weight
+	// is 1+CovYield; CUPA's yield classifier and dist-opt read it too).
+	CovYield float64
+	// Faults is the injected-fault depth recorded when fewest-faults
+	// adds the node, kept for nodes whose state is not materialized.
+	Faults int
 }
 
 // IsCandidate reports whether the node is explorable.
