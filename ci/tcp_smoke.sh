@@ -45,13 +45,18 @@
 #        KILL_DELAY seconds between the victim joining and the kill -9
 #                   (default 0: since the solver's interval tier landed,
 #                   every miniature drains in under a second, so the
-#                   kill must fire the moment the victim joins — any
-#                   later and it races the run's natural completion.
-#                   Quiescence cannot be declared around a silent
-#                   member, so the eviction and re-seat still always
-#                   happen before the LB can finish. In lb mode the
-#                   promoted standby likewise cannot finish before its
-#                   resync window closes).
+#                   kill must fire as soon as the victim can be killed —
+#                   any later and it races the run's natural completion.
+#                   In worker mode under p2p and relay, the victim is a
+#                   non-seed worker and the kill further waits until
+#                   its own /metrics shows it holding jobs
+#                   (c9_cluster_queue_jobs > 0): it has then reported a
+#                   frontier the LB must re-seat, and quiescence cannot
+#                   be declared around a silent member holding jobs, so
+#                   the eviction and re-seat always happen before the
+#                   LB can finish. In lb mode the promoted standby
+#                   likewise cannot finish before its resync window
+#                   closes).
 #
 # PR CI runs the fast single-target form (`test`) in p2p and relay,
 # plus a fault-free p2p run in the bench job that fails if any payload
@@ -150,8 +155,10 @@ grep -q '^c9_lb_members ' "$LOGS/metrics-early.txt" || {
 
 WPIDS=()
 for i in 0 1 2; do
+  # Each worker's exporter (PORT+4+i) lets the kill below see when the
+  # victim holds jobs.
   "$BIN/c9-worker" -lb "$WORKER_LB" -target "$TARGET" -batch 8 \
-    >"$LOGS/worker$i.txt" 2>&1 &
+    -obs-addr "127.0.0.1:$((PORT + 4 + i))" >"$LOGS/worker$i.txt" 2>&1 &
   WPIDS+=($!)
 done
 
@@ -168,6 +175,27 @@ for _ in $(seq 1 200); do
   sleep 0.05
 done
 sleep "$KILL_DELAY"
+VICTIM=1
+if [[ "$KILL_TARGET" == "worker" && "$DATA_PLANE" != "depth" ]]; then
+  # A kill before the victim holds reported jobs leaves the LB nothing
+  # to re-seat (no custody-reseat event, asserted below). A non-seed
+  # worker's queue grows only by imports, each followed by a status
+  # carrying its frontier, and its queue gauge is set as each status
+  # goes out: a nonzero gauge is a frontier the LB holds. The seed's
+  # queue grows from the root without such a status, so it is never the
+  # victim here.
+  if grep -q "seed=true" "$LOGS/worker$VICTIM.txt"; then
+    VICTIM=2
+  fi
+  # No sleep between polls: on printf the victim may hold jobs for only
+  # a few tens of milliseconds, and each curl takes several.
+  for _ in $(seq 1 1000); do
+    q=$(curl -sf "http://127.0.0.1:$((PORT + 4 + VICTIM))/metrics" 2>/dev/null |
+      awk '$1 == "c9_cluster_queue_jobs" {print $2}' || true)
+    [[ "${q:-0}" -gt 0 ]] && break
+    kill -0 "${WPIDS[$VICTIM]}" 2>/dev/null || break
+  done
+fi
 if [[ "$KILL_TARGET" == "lb" ]]; then
   if kill -0 "$LB_PID" 2>/dev/null; then
     echo "== kill -9 primary LB pid $LB_PID"
@@ -177,11 +205,11 @@ if [[ "$KILL_TARGET" == "lb" ]]; then
     exit 1
   fi
 elif [[ "$KILL_TARGET" == "worker" ]]; then
-  if kill -0 "${WPIDS[1]}" 2>/dev/null; then
-    echo "== kill -9 worker pid ${WPIDS[1]}"
-    kill -9 "${WPIDS[1]}"
+  if kill -0 "${WPIDS[$VICTIM]}" 2>/dev/null; then
+    echo "== kill -9 worker pid ${WPIDS[$VICTIM]}"
+    kill -9 "${WPIDS[$VICTIM]}"
   else
-    echo "smoke: worker 1 exited before the kill — run too short for a mid-run crash" >&2
+    echo "smoke: worker $VICTIM exited before the kill — run too short for a mid-run crash" >&2
     exit 1
   fi
 fi

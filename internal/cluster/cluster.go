@@ -294,24 +294,20 @@ func Run(cfg Config) (*Result, error) {
 	}
 	f.lbGen.Store(1)
 
-	batch := cfg.WorkerBatch
-	if batch <= 0 {
-		batch = 16
-	}
-	// The kill fault's primary trigger runs on the victim's own thread:
-	// once the LB arms it (path threshold reached), the victim crashes at
-	// the first loop boundary where its queue is well clear of empty, so
-	// its final report shows work outstanding and the crash path (lease
-	// eviction + re-seat) is exercised deterministically. The LB-side
-	// status check below is a second chance; checking only there misses
-	// the window on fast runs, where few statuses show a fat queue.
+	// The kill fault's trigger runs on the victim's own thread: once the
+	// LB arms it (path threshold reached), the victim crashes at its first
+	// loop boundary whose last sent status reported jobs. The LB then
+	// cannot reach quiescence without evicting it and re-seating that
+	// work, so an armed kill always exercises the crash path, however
+	// fast the run; a trigger that waits for a fat queue can miss its
+	// window.
 	var killArmed atomic.Bool
 	crashWhenFor := func(id int) func(int) bool {
 		if cfg.Faults.Kill == nil || cfg.Faults.Kill.Worker != id {
 			return nil
 		}
-		return func(queue int) bool {
-			return killArmed.Load() && queue >= 2*batch
+		return func(reportedQueue int) bool {
+			return killArmed.Load() && reportedQueue > 0
 		}
 	}
 
@@ -482,23 +478,19 @@ func Run(cfg Config) (*Result, error) {
 		}
 		return nil
 	}
-	doomed := -2 // worker id a fired kill is about to take down
+	doomed := -2 // worker id a fired kill has taken down
 
-	// checkKill arms the victim's own-thread crash trigger once the path
-	// threshold is reached, and fires directly when an accepted status
-	// shows the victim's queue well clear of empty (see crashWhenFor for
-	// why both paths exist). Evaluated on every accepted status, not
+	// checkKill arms the victim's own-thread crash trigger (crashWhenFor)
+	// once the path threshold is reached, and stops balancing with the
+	// victim once it has crashed. Evaluated on every accepted status, not
 	// just balance rounds: on a fast machine the whole run fits in a
-	// handful of rounds and the queue window would otherwise be missed.
+	// handful of rounds.
 	checkKill := func() {
 		if kill == nil || lb.TotalPaths() < kill.AfterPaths {
 			return
 		}
 		killArmed.Store(true)
-		if m := lb.members[kill.Worker]; m != nil && m.Last.Queue >= 2*batch {
-			if w := workerByID(kill.Worker); w != nil {
-				w.Crash()
-			}
+		if w := workerByID(kill.Worker); w != nil && w.crash.Load() {
 			doomed = kill.Worker
 			kill = nil
 		}

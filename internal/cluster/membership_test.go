@@ -17,11 +17,10 @@ import (
 
 func faultConfig(t *testing.T, workers int, faults FaultPlan) Config {
 	t.Helper()
-	// Tight cadence (see runCluster): fault windows — arming the kill,
-	// catching a fat victim queue — must fit inside runs the
-	// incremental solver finishes in a few milliseconds. WorkerBatch 4
-	// halves the kill trigger's queue threshold (2×batch) and doubles
-	// status frequency.
+	// Tight cadence (see runCluster): fault windows — arming the kill
+	// before the victim runs dry — must fit inside runs the incremental
+	// solver finishes in a few milliseconds. WorkerBatch 4 doubles status
+	// frequency, so the victim reports its queue more often.
 	return Config{
 		Workers:      workers,
 		Entry:        "main",

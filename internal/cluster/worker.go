@@ -30,10 +30,12 @@ type WorkerConfig struct {
 	// transports only; receivers suppress duplicates). Default: 2s.
 	ResendAfter time.Duration
 	// CrashWhen, if set, is a fault-injection hook evaluated on the
-	// worker's own thread at each loop boundary with the current queue
-	// length; returning true crashes the worker on the spot (no goodbye,
-	// no further statuses).
-	CrashWhen func(queue int) bool
+	// worker's own thread at each loop boundary with the queue length of
+	// the last status the worker sent; returning true crashes the worker
+	// on the spot (no goodbye, no further statuses). A crash while that
+	// report shows jobs holds the LB's quiescence open until the lease
+	// lapses, so the eviction and re-seat path always runs.
+	CrashWhen func(reportedQueue int) bool
 	// FrontierEvery is the cadence (in statuses) of full status
 	// snapshots carrying the frontier job tree; in between, cheap
 	// counters-only statuses renew the lease. A status is always full
@@ -191,6 +193,7 @@ type Worker struct {
 	lastFullRecv      uint64
 	fullPending       bool
 	lastLBGen         uint64
+	reportedQueue     int // Queue of the last status sent (CrashWhen's input)
 
 	// lastObs is the metrics snapshot shipped with the last accepted
 	// full status — the baseline the LB holds, against which the next
@@ -767,6 +770,9 @@ func (w *Worker) sendStatusOpt(full bool) {
 	} else {
 		ok = w.transport.SendToLB(msg)
 	}
+	if ok {
+		w.reportedQueue = st.Queue
+	}
 	switch {
 	case full && ok:
 		w.fullPending = false
@@ -802,7 +808,7 @@ func (w *Worker) RunLoop() error {
 	w.sendStatus()
 	for !w.stopped {
 		if w.cfg.CrashWhen != nil && !w.crash.Load() &&
-			w.cfg.CrashWhen(w.Exp.Tree.NumCandidates()) {
+			w.cfg.CrashWhen(w.reportedQueue) {
 			w.crash.Store(true)
 		}
 		if w.crash.Load() {

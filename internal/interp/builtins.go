@@ -78,7 +78,7 @@ func registerCore(in *Interp) {
 		// The frame PC was pre-advanced, so the call is at PC-1.
 		f := childFrame.Fn.Blocks[childFrame.Block].Instrs[childFrame.PC-1]
 		if f.A >= 0 {
-			childFrame.Regs[f.A] = expr.Const(0, expr.W32)
+			childFrame.SetReg(f.A, expr.Const(0, expr.W32))
 		}
 		return expr.Const(uint64(pid), expr.W32), nil
 	})

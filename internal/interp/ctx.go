@@ -252,7 +252,6 @@ func (c *Ctx) Malloc(size int64) (uint64, error) {
 // MallocShared allocates heap memory directly in the shared CoW domain.
 func (c *Ctx) MallocShared(size int64) uint64 {
 	obj := c.S.Alloc.Allocate(size, "heap-shared")
-	obj.Shared = true
 	os := mem.NewObjectState(obj)
 	c.S.Shared.Bind(os)
 	return obj.Base

@@ -82,9 +82,9 @@ func TestForkNReusesParentAsLastChild(t *testing.T) {
 		}
 
 		w, r := kids[writer], kids[1-writer]
-		regs := w.CurThread().Top().Regs
-		regs[0] = expr.Const(99, expr.W32)
-		if got := r.CurThread().Top().Regs[0]; got == regs[0] {
+		wf := w.CurThread().Top()
+		wf.SetReg(0, expr.Const(99, expr.W32))
+		if got := r.CurThread().Top().Reg(0); got == wf.Reg(0) {
 			t.Fatalf("writer %d: register write leaked into child %d", writer, 1-writer)
 		}
 		space, os := stackArray(w)

@@ -180,28 +180,28 @@ func (in *Interp) exec(s *state.S, t *state.Thread, f *state.Frame, instr *cvm.I
 	switch instr.Op {
 	case cvm.OpNop:
 	case cvm.OpConst:
-		f.Regs[instr.A] = expr.Const(uint64(instr.Imm), instr.W)
+		f.SetReg(instr.A, expr.Const(uint64(instr.Imm), instr.W))
 	case cvm.OpMov:
-		f.Regs[instr.A] = f.Regs[instr.B]
+		f.SetReg(instr.A, f.Reg(instr.B))
 	case cvm.OpZExt:
-		f.Regs[instr.A] = expr.ZExt(f.Regs[instr.B], instr.W)
+		f.SetReg(instr.A, expr.ZExt(f.Reg(instr.B), instr.W))
 	case cvm.OpSExt:
-		f.Regs[instr.A] = expr.SExt(f.Regs[instr.B], instr.W)
+		f.SetReg(instr.A, expr.SExt(f.Reg(instr.B), instr.W))
 	case cvm.OpTrunc:
-		f.Regs[instr.A] = expr.Extract(f.Regs[instr.B], 0, instr.W)
+		f.SetReg(instr.A, expr.Extract(f.Reg(instr.B), 0, instr.W))
 	case cvm.OpNe:
-		l, r := f.Regs[instr.B], f.Regs[instr.C]
-		f.Regs[instr.A] = expr.Ne(l, r)
+		l, r := f.Reg(instr.B), f.Reg(instr.C)
+		f.SetReg(instr.A, expr.Ne(l, r))
 	case cvm.OpUDiv, cvm.OpSDiv, cvm.OpURem, cvm.OpSRem:
 		return in.execDiv(s, t, f, instr)
 	case cvm.OpFrameAddr:
-		f.Regs[instr.A] = expr.Const(f.SlotObjs[instr.Imm].Base, expr.W64)
+		f.SetReg(instr.A, f.SlotObjs[instr.Imm].BaseExpr())
 	case cvm.OpGlobalAddr:
 		base, ok := s.Globals[instr.Sym]
 		if !ok {
 			return nil, fmt.Errorf("interp: unknown global %q", instr.Sym)
 		}
-		f.Regs[instr.A] = expr.Const(base, expr.W64)
+		f.SetReg(instr.A, expr.Const(base, expr.W64))
 	case cvm.OpLoad:
 		return in.execLoad(s, t, f, instr)
 	case cvm.OpStore:
@@ -223,8 +223,8 @@ func (in *Interp) exec(s *state.S, t *state.Thread, f *state.Frame, instr *cvm.I
 		s.SetTerminated(state.TermError, instr.Sym)
 	default:
 		if op, ok := instr.Op.ExprOp(); ok {
-			l, r := f.Regs[instr.B], f.Regs[instr.C]
-			f.Regs[instr.A] = expr.Binary(op, l, r)
+			l, r := f.Reg(instr.B), f.Reg(instr.C)
+			f.SetReg(instr.A, expr.Binary(op, l, r))
 			return nil, nil
 		}
 		return nil, fmt.Errorf("interp: unimplemented opcode %v", instr.Op)
@@ -235,14 +235,14 @@ func (in *Interp) exec(s *state.S, t *state.Thread, f *state.Frame, instr *cvm.I
 // execDiv guards division by a possibly-zero symbolic divisor, forking an
 // error path when zero is feasible.
 func (in *Interp) execDiv(s *state.S, t *state.Thread, f *state.Frame, instr *cvm.Instr) ([]*state.S, error) {
-	l, r := f.Regs[instr.B], f.Regs[instr.C]
+	l, r := f.Reg(instr.B), f.Reg(instr.C)
 	if r.IsConst() {
 		if r.ConstVal() == 0 {
 			s.SetTerminated(state.TermError, "division by zero")
 			return nil, nil
 		}
 		op, _ := instr.Op.ExprOp()
-		f.Regs[instr.A] = expr.Binary(op, l, r)
+		f.SetReg(instr.A, expr.Binary(op, l, r))
 		return nil, nil
 	}
 	zero := expr.Const(0, r.Width())
@@ -265,14 +265,14 @@ func (in *Interp) execDiv(s *state.S, t *state.Thread, f *state.Frame, instr *cv
 				child.SetTerminated(state.TermError, "division by zero")
 			} else {
 				child.Constraints = child.Constraints.Append(expr.Not(isZero))
-				cf.Regs[instr.A] = expr.Binary(op, l, r)
+				cf.SetReg(instr.A, expr.Binary(op, l, r))
 			}
 		}), nil
 	case mayZero:
 		s.SetTerminated(state.TermError, "division by zero")
 		return nil, nil
 	default:
-		f.Regs[instr.A] = expr.Binary(op, l, r)
+		f.SetReg(instr.A, expr.Binary(op, l, r))
 		return nil, nil
 	}
 }
@@ -376,7 +376,7 @@ func (in *Interp) checkSymbolicBounds(s *state.S, t *state.Thread, f *state.Fram
 }
 
 func (in *Interp) execLoad(s *state.S, t *state.Thread, f *state.Frame, instr *cvm.Instr) ([]*state.S, error) {
-	addrE := f.Regs[instr.B]
+	addrE := f.Reg(instr.B)
 	size := int64(instr.W.Bytes())
 	if !addrE.IsConst() {
 		if kids, err := in.checkSymbolicBounds(s, t, f, addrE, size, "read"); kids != nil || err != nil || s.Terminated() {
@@ -394,13 +394,13 @@ func (in *Interp) execLoad(s *state.S, t *state.Thread, f *state.Frame, instr *c
 				size, addr, f.Fn.Name))
 		return nil, nil
 	}
-	f.Regs[instr.A] = os.Read(off, instr.W)
+	f.SetReg(instr.A, os.Read(off, instr.W))
 	return nil, nil
 }
 
 func (in *Interp) execStore(s *state.S, t *state.Thread, f *state.Frame, instr *cvm.Instr) ([]*state.S, error) {
-	addrE := f.Regs[instr.A]
-	val := f.Regs[instr.B]
+	addrE := f.Reg(instr.A)
+	val := f.Reg(instr.B)
 	size := int64(val.Width().Bytes())
 	if !addrE.IsConst() {
 		if kids, err := in.checkSymbolicBounds(s, t, f, addrE, size, "write"); kids != nil || err != nil || s.Terminated() {
@@ -424,7 +424,7 @@ func (in *Interp) execStore(s *state.S, t *state.Thread, f *state.Frame, instr *
 }
 
 func (in *Interp) execCondBr(s *state.S, t *state.Thread, f *state.Frame, instr *cvm.Instr) ([]*state.S, error) {
-	cond := f.Regs[instr.A]
+	cond := f.Reg(instr.A)
 	thenB, elseB := int(instr.Imm), int(instr.Imm2)
 	if cond.IsConst() {
 		if cond.ConstVal() != 0 {
@@ -464,7 +464,7 @@ func (in *Interp) execCondBr(s *state.S, t *state.Thread, f *state.Frame, instr 
 func (in *Interp) execRet(s *state.S, t *state.Thread, f *state.Frame, instr *cvm.Instr) ([]*state.S, error) {
 	var ret *expr.Expr
 	if instr.A >= 0 {
-		ret = f.Regs[instr.A]
+		ret = f.Reg(instr.A)
 	}
 	s.PopFrame(t)
 	if len(t.Stack) == 0 {
@@ -485,19 +485,19 @@ func (in *Interp) execRet(s *state.S, t *state.Thread, f *state.Frame, instr *cv
 		if ret == nil {
 			ret = expr.Const(0, expr.W32)
 		}
-		caller.Regs[f.RetReg] = ret
+		caller.SetReg(f.RetReg, ret)
 	}
 	return nil, nil
 }
 
 func (in *Interp) execSelect(s *state.S, t *state.Thread, f *state.Frame, instr *cvm.Instr) ([]*state.S, error) {
-	cond := f.Regs[instr.B]
-	f.Regs[instr.A] = expr.Ite(cond, f.Regs[instr.C], f.Regs[instr.D])
+	cond := f.Reg(instr.B)
+	f.SetReg(instr.A, expr.Ite(cond, f.Reg(instr.C), f.Reg(instr.D)))
 	return nil, nil
 }
 
 func (in *Interp) execAssert(s *state.S, t *state.Thread, f *state.Frame, instr *cvm.Instr) ([]*state.S, error) {
-	cond := f.Regs[instr.A]
+	cond := f.Reg(instr.A)
 	if cond.IsConst() {
 		if cond.ConstVal() == 0 {
 			s.SetTerminated(state.TermError, "assertion failed: "+instr.Sym)
@@ -531,7 +531,7 @@ func (in *Interp) execAssert(s *state.S, t *state.Thread, f *state.Frame, instr 
 func (in *Interp) execCall(s *state.S, t *state.Thread, f *state.Frame, instr *cvm.Instr) (children []*state.S, err error) {
 	args := make([]*expr.Expr, len(instr.Args))
 	for i, r := range instr.Args {
-		args[i] = f.Regs[r]
+		args[i] = f.Reg(r)
 	}
 	if callee := in.Prog.Func(instr.Sym); callee != nil {
 		retReg := instr.A
@@ -602,7 +602,7 @@ func (in *Interp) execCall(s *state.S, t *state.Thread, f *state.Frame, instr *c
 		if result == nil {
 			result = expr.Const(0, expr.W32)
 		}
-		f.Regs[instr.A] = result
+		f.SetReg(instr.A, result)
 	}
 	// Apply control effects requested by the builtin.
 	if ctx.termState != nil {

@@ -12,14 +12,19 @@ import (
 )
 
 // Object is the immutable identity of an allocation: its virtual base
-// address and size. The mutable contents live in ObjectState.
+// address and size. The mutable contents live in ObjectState. Forked
+// states share one Object, so nothing may write it after Allocate.
 type Object struct {
-	ID     uint64
-	Base   uint64
-	Size   int64
-	Name   string // diagnostics: "global foo", "frame main", "heap"
-	Shared bool   // lives in the state-wide CoW domain (cloud9_make_shared)
+	ID       uint64
+	Base     uint64
+	Size     int64
+	Name     string     // diagnostics: "global foo", "frame main", "heap"
+	baseExpr *expr.Expr // Base as an interned 64-bit constant
 }
+
+// BaseExpr returns the object's base address as an interned 64-bit
+// constant, built once at allocation instead of on every address use.
+func (o *Object) BaseExpr() *expr.Expr { return o.baseExpr }
 
 // End returns one past the last valid address of the object.
 func (o *Object) End() uint64 { return o.Base + uint64(o.Size) }
@@ -106,11 +111,37 @@ func (os *ObjectState) PutByte(off int64, e *expr.Expr) {
 
 // Read assembles a little-endian value of width w starting at off.
 // Bytes combine as a balanced concat tree (widths stay powers of two).
+// A range with no symbolic byte is assembled directly into the one
+// constant that tree folds to.
 func (os *ObjectState) Read(off int64, w expr.Width) *expr.Expr {
+	n := w.Bytes()
+	if os.concreteRange(off, n) {
+		var v uint64
+		for i := n - 1; i >= 0; i-- {
+			v = v<<8 | uint64(os.concrete[off+int64(i)])
+		}
+		if w == expr.W1 {
+			return expr.Bool(v != 0)
+		}
+		return expr.Const(v, w)
+	}
 	if w == expr.W1 {
 		return expr.Ne(os.Byte(off), expr.Const(0, expr.W8))
 	}
-	return os.readTree(off, w.Bytes())
+	return os.readTree(off, n)
+}
+
+// concreteRange reports whether no byte in [off, off+n) is symbolic.
+func (os *ObjectState) concreteRange(off int64, n int) bool {
+	if os.symbolic == nil {
+		return true
+	}
+	for _, e := range os.symbolic[off : off+int64(n)] {
+		if e != nil {
+			return false
+		}
+	}
+	return true
 }
 
 func (os *ObjectState) readTree(off int64, n int) *expr.Expr {
@@ -192,7 +223,8 @@ func (a *Allocator) Allocate(size int64, name string) *Object {
 		size = 1 // zero-sized allocations still get a distinct address
 	}
 	base := a.next
-	obj := &Object{ID: a.nextID, Base: base, Size: size, Name: name}
+	obj := &Object{ID: a.nextID, Base: base, Size: size, Name: name,
+		baseExpr: expr.Const(base, expr.W64)}
 	a.nextID++
 	span := uint64(size) + allocGuard
 	span += allocAlign - 1
@@ -201,119 +233,117 @@ func (a *Allocator) Allocate(size int64, name string) *Object {
 	return obj
 }
 
-// AddressSpace maps addresses to object states. Cloning shares object
-// states copy-on-write; the index itself is copied eagerly (it is small
-// relative to contents).
+// AddressSpace maps addresses to object states: one slice of object
+// states sorted by base address. Cloning copies the slice and shares
+// every object state copy-on-write, so a fork costs one slice copy;
+// lookups binary-search it. The allocator hands out increasing
+// addresses, so Bind nearly always appends.
 type AddressSpace struct {
-	objects map[uint64]*ObjectState // keyed by base
-	bases   []uint64                // sorted
+	objs []*ObjectState // sorted by Obj.Base
 }
 
 // NewAddressSpace returns an empty space.
-func NewAddressSpace() *AddressSpace {
-	return &AddressSpace{objects: make(map[uint64]*ObjectState)}
-}
+func NewAddressSpace() *AddressSpace { return &AddressSpace{} }
 
 // Clone returns a CoW copy of the space.
 func (as *AddressSpace) Clone() *AddressSpace {
-	dup := &AddressSpace{
-		objects: make(map[uint64]*ObjectState, len(as.objects)),
-		bases:   append([]uint64(nil), as.bases...),
-	}
-	for b, os := range as.objects {
-		dup.objects[b] = os.Ref()
+	dup := &AddressSpace{objs: append([]*ObjectState(nil), as.objs...)}
+	for _, os := range dup.objs {
+		os.Ref()
 	}
 	return dup
 }
 
 // Release drops the space's references (called when a state dies).
 func (as *AddressSpace) Release() {
-	for _, os := range as.objects {
+	for _, os := range as.objs {
 		os.Unref()
 	}
 }
 
-// Bind inserts a fresh object state into the space.
-func (as *AddressSpace) Bind(os *ObjectState) {
-	base := os.Obj.Base
-	if _, dup := as.objects[base]; dup {
-		panic(fmt.Sprintf("mem: duplicate binding at %#x", base))
-	}
-	as.objects[base] = os
-	as.insertBase(base)
-}
-
-func (as *AddressSpace) insertBase(base uint64) {
-	lo, hi := 0, len(as.bases)
+// search returns the number of bound objects whose base is <= addr.
+func (as *AddressSpace) search(addr uint64) int {
+	lo, hi := 0, len(as.objs)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if as.bases[mid] < base {
+		if as.objs[mid].Obj.Base <= addr {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	as.bases = append(as.bases, 0)
-	copy(as.bases[lo+1:], as.bases[lo:])
-	as.bases[lo] = base
+	return lo
 }
 
-// Unbind removes the object containing base and returns its state.
+// index returns the slot of the object based at base, or -1.
+func (as *AddressSpace) index(base uint64) int {
+	i := as.search(base) - 1
+	if i < 0 || as.objs[i].Obj.Base != base {
+		return -1
+	}
+	return i
+}
+
+// Bind inserts a fresh object state into the space.
+func (as *AddressSpace) Bind(os *ObjectState) {
+	base := os.Obj.Base
+	if n := len(as.objs); n == 0 || as.objs[n-1].Obj.Base < base {
+		as.objs = append(as.objs, os)
+		return
+	}
+	i := as.search(base)
+	if i > 0 && as.objs[i-1].Obj.Base == base {
+		panic(fmt.Sprintf("mem: duplicate binding at %#x", base))
+	}
+	as.objs = append(as.objs, nil)
+	copy(as.objs[i+1:], as.objs[i:])
+	as.objs[i] = os
+}
+
+// Unbind removes the object based at base and returns its state.
 func (as *AddressSpace) Unbind(base uint64) *ObjectState {
-	os, ok := as.objects[base]
-	if !ok {
+	i := as.index(base)
+	if i < 0 {
 		return nil
 	}
-	delete(as.objects, base)
-	for i, b := range as.bases {
-		if b == base {
-			as.bases = append(as.bases[:i], as.bases[i+1:]...)
-			break
-		}
-	}
+	os := as.objs[i]
+	copy(as.objs[i:], as.objs[i+1:])
+	as.objs[len(as.objs)-1] = nil
+	as.objs = as.objs[:len(as.objs)-1]
 	return os
 }
 
 // Resolve finds the object containing addr. ok=false means unmapped
 // (a memory error in the program under test).
 func (as *AddressSpace) Resolve(addr uint64) (*ObjectState, int64, bool) {
-	// Find the greatest base <= addr.
-	lo, hi := 0, len(as.bases)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if as.bases[mid] <= addr {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
+	i := as.search(addr) - 1
+	if i < 0 {
 		return nil, 0, false
 	}
-	os := as.objects[as.bases[lo-1]]
+	os := as.objs[i]
 	if !os.Obj.Contains(addr) {
 		return nil, 0, false
 	}
 	return os, int64(addr - os.Obj.Base), true
 }
 
-// Writable returns a privately owned object state for the object
-// containing addr, replacing the space's reference if CoW demanded a
+// Writable returns a privately owned object state for os, which must be
+// bound in the space, replacing the space's reference if CoW demanded a
 // copy.
 func (as *AddressSpace) Writable(os *ObjectState) *ObjectState {
 	w := os.copyForWrite()
 	if w != os {
-		as.objects[os.Obj.Base] = w
+		as.objs[as.index(os.Obj.Base)] = w
 	}
 	return w
 }
 
 // NumObjects returns the number of bound objects.
-func (as *AddressSpace) NumObjects() int { return len(as.objects) }
+func (as *AddressSpace) NumObjects() int { return len(as.objs) }
 
-// Objects calls fn for each bound object state.
+// Objects calls fn for each bound object state in address order.
 func (as *AddressSpace) Objects(fn func(*ObjectState)) {
-	for _, b := range as.bases {
-		fn(as.objects[b])
+	for _, os := range as.objs {
+		fn(os)
 	}
 }

@@ -660,7 +660,7 @@ func (m *Model) register(in *interp.Interp) {
 		childFrame := child.Top()
 		f := childFrame.Fn.Blocks[childFrame.Block].Instrs[childFrame.PC-1]
 		if f.A >= 0 {
-			childFrame.Regs[f.A] = cInt(0)
+			childFrame.SetReg(f.A, cInt(0))
 		}
 		return cInt(int64(pid)), nil
 	})

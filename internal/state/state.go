@@ -31,23 +31,83 @@ const (
 	ThreadTerminated
 )
 
+// Registers live in fixed pages of regPageSize entries.
+const (
+	regPageBits = 5
+	regPageSize = 1 << regPageBits
+	regPageMask = regPageSize - 1
+)
+
+type regPage [regPageSize]*expr.Expr
+
 // Frame is one activation record.
+//
+// Registers are paged copy-on-write: Clone copies only the page table
+// and marks every page shared in both frames, and the first SetReg to a
+// shared page copies that page. Bit g of the shared mask covers page
+// group g, a run of 1<<groupShift pages; groupShift is 0 unless the
+// frame has more than 64 pages, so one uint64 covers a frame of any
+// size.
 type Frame struct {
 	Fn       *cvm.Func
-	Regs     []*expr.Expr
 	Block    int
 	PC       int
-	SlotObjs []*mem.Object // one memory object per stack slot
+	SlotObjs []*mem.Object // one memory object per stack slot; never written after PushFrame, so clones share it
 	RetReg   int           // caller register receiving the return value (-1: none)
+
+	pages      []*regPage
+	shared     uint64 // bit g: page group g may be referenced by another frame
+	groupShift uint8
 }
 
-// Clone deep-copies the frame (register slice copied; expressions are
-// immutable and shared; slot objects are identities shared with the
-// clone's address space clone).
+// newFrame returns a frame for fn with every register nil and every
+// page privately owned.
+func newFrame(fn *cvm.Func, retReg int) *Frame {
+	n := (fn.NumRegs + regPageSize - 1) >> regPageBits
+	f := &Frame{Fn: fn, RetReg: retReg, pages: make([]*regPage, n)}
+	backing := make([]regPage, n)
+	for i := range f.pages {
+		f.pages[i] = &backing[i]
+	}
+	for n > 64<<f.groupShift {
+		f.groupShift++
+	}
+	return f
+}
+
+// Reg returns register i.
+func (f *Frame) Reg(i int) *expr.Expr { return f.pages[i>>regPageBits][i&regPageMask] }
+
+// SetReg sets register i, first copying its page group if another frame
+// may still reference it.
+func (f *Frame) SetReg(i int, e *expr.Expr) {
+	p := i >> regPageBits
+	if g := p >> f.groupShift; f.shared>>g&1 != 0 {
+		f.own(g)
+	}
+	f.pages[p][i&regPageMask] = e
+}
+
+// own gives f private copies of the pages in group g.
+func (f *Frame) own(g int) {
+	lo := g << f.groupShift
+	hi := min(lo+1<<f.groupShift, len(f.pages))
+	fresh := make([]regPage, hi-lo)
+	for i := range fresh {
+		fresh[i] = *f.pages[lo+i]
+		f.pages[lo+i] = &fresh[i]
+	}
+	f.shared &^= 1 << g
+}
+
+// Clone returns a copy of the frame that shares every register page and
+// the slot objects with f. Both frames mark all pages shared, so each
+// copies a page on its first write to it. Expressions are immutable and
+// slot objects are identities shared with the clone's address space.
 func (f *Frame) Clone() *Frame {
+	f.shared = ^uint64(0)
 	dup := *f
-	dup.Regs = append([]*expr.Expr(nil), f.Regs...)
-	dup.SlotObjs = append([]*mem.Object(nil), f.SlotObjs...)
+	dup.pages = append([]*regPage(nil), f.pages...)
 	return &dup
 }
 
@@ -340,12 +400,10 @@ func (s *S) PushFrame(t *Thread, fn *cvm.Func, args []*expr.Expr, retReg int) er
 	if len(args) != fn.NumParams {
 		return fmt.Errorf("state: call %s with %d args, want %d", fn.Name, len(args), fn.NumParams)
 	}
-	f := &Frame{
-		Fn:     fn,
-		Regs:   make([]*expr.Expr, fn.NumRegs),
-		RetReg: retReg,
+	f := newFrame(fn, retReg)
+	for i, a := range args {
+		f.SetReg(i, a)
 	}
-	copy(f.Regs, args)
 	if n := len(fn.Slots); n > 0 {
 		f.SlotObjs = make([]*mem.Object, n)
 		space := s.Procs[t.Proc].Space
@@ -399,7 +457,6 @@ func (s *S) MakeShared(pid ProcessID, addr uint64) bool {
 		return false
 	}
 	p.Space.Unbind(os.Obj.Base)
-	os.Obj.Shared = true
 	s.Shared.Bind(os)
 	return true
 }

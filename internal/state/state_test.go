@@ -91,8 +91,8 @@ func TestForkIsolation(t *testing.T) {
 		t.Fatal("fork did not isolate memory")
 	}
 	// Registers and stacks are independent too.
-	child.CurThread().Top().Regs[0] = expr.Const(9, expr.W32)
-	if s.CurThread().Top().Regs[0] != nil {
+	child.CurThread().Top().SetReg(0, expr.Const(9, expr.W32))
+	if s.CurThread().Top().Reg(0) != nil {
 		t.Fatal("register fork leak")
 	}
 }
